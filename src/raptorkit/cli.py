@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from contextlib import contextmanager
 
 from .degrees import LdpcEnsemble, read_distribution, write_distribution
 from .design import ConfigError, DesignConfig, sweep_alpha
@@ -39,33 +40,49 @@ def _load_ini(path) -> configparser.ConfigParser:
     return cp
 
 
-def _parse_weight_list(text: str) -> dict[int, float]:
+@contextmanager
+def _config_value(sec, key: str, default: str | None = None):
+    """Yields the text of [sec] key; a missing key, or a ValueError raised
+    while the text is parsed, becomes a ConfigError naming the key."""
+    text = sec.get(key, default)
+    if text is None:
+        raise ConfigError(f"[{sec.name}] needs {key}")
+    try:
+        yield text
+    except ValueError as exc:
+        raise ConfigError(f"[{sec.name}] {key} = {text!r}: {exc}") from exc
+
+
+def _parse_weight_list(sec, key: str) -> dict[int, float]:
     out: dict[int, float] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        deg, _, w = item.partition(":")
-        out[int(deg)] = float(w)
+    with _config_value(sec, key) as text:
+        for item in text.split(","):
+            item = item.strip()
+            if not item:
+                continue
+            deg, _, w = item.partition(":")
+            out[int(deg)] = float(w)
     return out
 
 
-def _parse_support(text: str) -> tuple[int, ...]:
+def _parse_support(sec, key: str, default: str) -> tuple[int, ...]:
     degs: set[int] = set()
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "-" in item:
-            lo, hi = item.split("-")
-            degs.update(range(int(lo), int(hi) + 1))
-        else:
-            degs.add(int(item))
+    with _config_value(sec, key, default) as text:
+        for item in text.split(","):
+            item = item.strip()
+            if not item:
+                continue
+            if "-" in item:
+                lo, hi = item.split("-")
+                degs.update(range(int(lo), int(hi) + 1))
+            else:
+                degs.add(int(item))
     return tuple(sorted(degs))
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _parse_floats(sec, key: str, default: str | None = None) -> tuple[float, ...]:
+    with _config_value(sec, key, default) as text:
+        return tuple(float(v) for v in text.split(",") if v.strip())
 
 
 def _channel_from(cp: configparser.ConfigParser):
@@ -86,8 +103,8 @@ def _transfer_from(cp: configparser.ConfigParser):
     if kind == "null":
         return TransferFunction.null(), None
     if kind == "ldpc":
-        ens = LdpcEnsemble(var_edge=_parse_weight_list(sec.get("lambda")),
-                           check_edge=_parse_weight_list(sec.get("rho")))
+        ens = LdpcEnsemble(var_edge=_parse_weight_list(sec, "lambda"),
+                           check_edge=_parse_weight_list(sec, "rho"))
         return TransferFunction.analytic_ldpc(ens), ens
     if kind == "table":
         return load_tabulated(sec.get("path")), None
@@ -116,12 +133,12 @@ def _cmd_design(args) -> int:
         channel=channel,
         transfer=transfer,
         x_p=x_p,
-        alpha_grid=_parse_floats(sec.get("alpha_grid", "21")),
+        alpha_grid=_parse_floats(sec, "alpha_grid", "21"),
         delta=0.04 if delta_text == "auto" else float(delta_text),
         delta_policy="auto" if delta_text == "auto" else "fixed",
         auto_delta_fraction=sec.getfloat("auto_delta_fraction", 0.95),
         epsilon_start=sec.getfloat("epsilon", 0.005),
-        degree_support=_parse_support(sec.get("support", "1-100")),
+        degree_support=_parse_support(sec, "support", "1-100"),
         grid_points=sec.getint("grid_points", 200),
         strict_margin=sec.getfloat("strict_margin", 1e-4),
     )
@@ -176,16 +193,16 @@ def _cmd_simulate(args) -> int:
         sigma = _channel_from(cp).sigma
     else:
         sigma = sec.getfloat("sigma")
-    precode_text = sec.get("precode", "none").strip()
     precode = None
-    if precode_text not in ("", "none"):
-        d_v, d_c, n = (int(v) for v in precode_text.split(","))
-        precode = (d_v, d_c, n)
+    with _config_value(sec, "precode", "none") as precode_text:
+        if precode_text.strip() not in ("", "none"):
+            d_v, d_c, n = (int(v) for v in precode_text.split(","))
+            precode = (d_v, d_c, n)
     cfg = ExperimentConfig(
         k_info=sec.getint("k_info"),
         distribution=read_distribution(sec.get("distribution")),
         sigma=sigma,
-        overheads=_parse_floats(sec.get("overheads")),
+        overheads=_parse_floats(sec, "overheads"),
         trials=sec.getint("trials"),
         schedule=sec.get("schedule", "joint").strip(),
         max_iters=sec.getint("max_iters", 300),

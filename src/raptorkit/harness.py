@@ -77,8 +77,10 @@ class ExperimentConfig:
             d_v, d_c, n = self.precode
             if n * d_v % d_c != 0:
                 raise ExperimentError(f"precode ({d_v},{d_c}) with n={n}: n*d_v not divisible by d_c")
-            if self.k_info > n:
-                raise ExperimentError("k_info cannot exceed the precode length")
+            info_length = n - n * d_v // d_c
+            if self.k_info > info_length:
+                raise ExperimentError(f"k_info = {self.k_info} exceeds the precode's information "
+                                      f"length n - n*d_v/d_c = {info_length}")
         object.__setattr__(self, "overheads", tuple(float(o) for o in self.overheads))
 
     @property

@@ -97,11 +97,22 @@ def _analytic_eval(ens: LdpcEnsemble, x: np.ndarray) -> np.ndarray:
     return clip_ic(out).reshape(shape)
 
 
-def ldpc_de_converges(ens: LdpcEnsemble, apriori_ic: float,
-                      max_iters: int = 2000, target: float = 1.0 - 1e-6) -> bool:
+def ldpc_de_converges(ens: LdpcEnsemble, apriori_ic, max_iters: int = 2000,
+                      target: float = 1.0 - 1e-6):
     """Scalar IC density evolution of the precode alone: constant a-priori IC
     at every variable node, no channel observation.  True when the
-    variable-side IC reaches the target within the iteration budget."""
+    variable-side IC reaches the target within the iteration budget.
+
+    A 1-D array of a-priori ICs runs one independent DE per lane and returns
+    a boolean array; a scalar returns a bool.  Lane by lane the arithmetic is
+    that of the scalar run, so the verdicts are the same.
+
+    A lane also stops, with False, when an iteration leaves its state y
+    exactly (==) where it was.  The state of the DE is y alone (the
+    a-priori mean is constant), so that y is a fixed point: every later
+    iteration repeats the same v, which has not reached the target.  This
+    exit is exact, not a tolerance; it saves the budget on failing lanes.
+    """
     lam_deg, lam_w = zip(*sorted(ens.var_edge.items()))
     rho_deg, rho_w = zip(*sorted(ens.check_edge.items()))
     lam_deg = np.array(lam_deg, dtype=float)
@@ -109,21 +120,53 @@ def ldpc_de_converges(ens: LdpcEnsemble, apriori_ic: float,
     rho_deg = np.array(rho_deg, dtype=float)
     rho_w = np.array(rho_w)
 
-    m_a = mean_of_ic(apriori_ic, clamp=True)
-    y = 0.0
+    x = np.asarray(apriori_ic, dtype=float)
+    m_a = np.atleast_1d(mean_of_ic(x, clamp=True))
+    converged = np.zeros(m_a.size, dtype=bool)
+    lanes = np.arange(m_a.size)  # lanes still iterating
+    y = np.zeros(m_a.size)
     for _ in range(max_iters):
-        v = float(np.dot(lam_w, j_of_mean((lam_deg - 1.0) * mean_of_ic(y, clamp=True) + m_a)))
-        if v >= target:
-            return True
-        s = float(np.dot(rho_w, j_of_mean((rho_deg - 1.0) * mean_of_ic(1.0 - v, clamp=True))))
-        y = min(max(1.0 - s, 0.0), 1.0)
-    return False
+        if not lanes.size:
+            break
+        v = _lane_dot(lam_w, j_of_mean((lam_deg - 1.0) * mean_of_ic(y, clamp=True)[:, None]
+                                       + m_a[:, None]))
+        done = v >= target
+        converged[lanes[done]] = True
+        live = ~done
+        lanes, y, m_a, v = lanes[live], y[live], m_a[live], v[live]
+        s = _lane_dot(rho_w, j_of_mean((rho_deg - 1.0) * mean_of_ic(1.0 - v, clamp=True)[:, None]))
+        y_next = np.minimum(np.maximum(1.0 - s, 0.0), 1.0)
+        moving = y_next != y
+        lanes, y, m_a = lanes[moving], y_next[moving], m_a[moving]
+    return bool(converged[0]) if x.ndim == 0 else converged
+
+
+def _lane_dot(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """np.dot(w, row) for every row.  One np.dot per row rounds each sum as
+    the scalar DE does, whatever order or fused multiply-adds the BLAS uses
+    (a matrix-vector product may differ in the last bit)."""
+    return np.array([np.dot(w, r) for r in rows])
+
+
+# Bisection halvings settled per threshold_xp round: 2^6 - 1 = 63 DE lanes.
+_ROUND_BITS = 6
 
 
 def threshold_xp(t: TransferFunction, ensemble: LdpcEnsemble, tol: float = 1e-4) -> PrecodeThreshold:
     """Smallest a-priori IC at which the precode decodes, by bisection.
 
     Returns x_p = 1 for ensembles whose density evolution never converges.
+
+    x_p is the upper end of the bracket left when [0, 1] has been halved
+    until it is no wider than tol.  The halvings are taken up to
+    `_ROUND_BITS` at a time: one array call runs the DE on every interior
+    point lo + (hi - lo) k / 2^r of the bracket, then the r bisection steps
+    are replayed on those verdicts.  Every midpoint the bisection tests is
+    one of these points, and each is a dyadic rational with few bits, so
+    it is exact in floating point and equal to the bisection's
+    0.5 * (lo + hi).  A lane's verdict is that of a scalar run at the same
+    IC, so the bracket, and x_p, are the bisection's bit for bit.  The
+    replay does not assume the verdict is monotone in the IC.
     """
     if t.kind != KIND_ANALYTIC:
         raise ValueError("threshold_xp requires an analytic LDPC transfer")
@@ -131,13 +174,24 @@ def threshold_xp(t: TransferFunction, ensemble: LdpcEnsemble, tol: float = 1e-4)
         raise ValueError("tol must lie in (0, 1e-2)")
     if not ldpc_de_converges(ensemble, 1.0 - 1e-9):
         return PrecodeThreshold(x_p=1.0)
+    halvings, width = 0, 1.0
+    while width > tol:
+        width *= 0.5
+        halvings += 1
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ldpc_de_converges(ensemble, mid):
-            hi = mid
-        else:
-            lo = mid
+    while halvings:
+        r = min(_ROUND_BITS, halvings)
+        n = 1 << r
+        ok = ldpc_de_converges(ensemble, lo + (hi - lo) * np.arange(1, n) / n)
+        a, b = 0, n
+        for _ in range(r):
+            mid = (a + b) // 2
+            if ok[mid - 1]:
+                b = mid
+            else:
+                a = mid
+        lo, hi = lo + (hi - lo) * a / n, lo + (hi - lo) * b / n
+        halvings -= r
     return PrecodeThreshold(x_p=hi)
 
 

@@ -165,3 +165,38 @@ def test_invalid_section_reports(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "bad.ini", "[channel]\n")
     assert main(["design", "--config", cfg]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_missing_ldpc_key_is_named(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "tr.ini", """
+[transfer]
+kind = ldpc
+rho = 60:1.0
+""")
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "t.txt")]) == 1
+    assert "[transfer] needs lambda" in capsys.readouterr().err
+
+
+def test_bad_support_names_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "design.ini", """
+[channel]
+sigma = 0.9787
+
+[design]
+alpha_grid = 21
+support = 5-
+""")
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "d.txt")]) == 1
+    assert "[design] support = '5-'" in capsys.readouterr().err
+
+
+def test_bad_float_list_names_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "design.ini", """
+[channel]
+sigma = 0.9787
+
+[design]
+alpha_grid = 21,x
+""")
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "d.txt")]) == 1
+    assert "[design] alpha_grid = '21,x'" in capsys.readouterr().err

@@ -48,6 +48,19 @@ class TestConfigValidation:
         with pytest.raises(ExperimentError):
             ExperimentConfig(**{**good, "precode": (3, 7, 100)})
 
+    def test_k_info_above_precode_information_length_rejected(self):
+        # (3, 30, 600) has 600 - 60 = 540 information bits; counting errors
+        # over 540 positions and dividing by 600 would understate the BER.
+        base = dict(distribution=sim_dist(), sigma=0.9787, overheads=(0.1,), trials=1,
+                    precode=(3, 30, 600), zero_codeword=False)
+        with pytest.raises(ExperimentError, match="k_info"):
+            ExperimentConfig(k_info=600, **base)
+        with pytest.raises(ExperimentError, match="k_info"):
+            ExperimentConfig(k_info=541, **base)
+        ExperimentConfig(k_info=540, **base)
+        # the (3, 60, 10^4) precode of the near-threshold runs, at its limit
+        ExperimentConfig(k_info=9500, **{**base, "precode": (3, 60, 10_000)})
+
     def test_precode_length_is_input_count(self):
         cfg = ExperimentConfig(k_info=95, distribution=sim_dist(), sigma=0.9787,
                                overheads=(0.1,), trials=1, precode=(3, 60, 100))
