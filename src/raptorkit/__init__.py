@@ -65,7 +65,6 @@ from .simplex import LpProblem, LpSolution, solve_lp
 from .transfer import (
     PrecodeThreshold,
     TransferFunction,
-    eval_transfer,
     load_tabulated,
     save_tabulated,
     threshold_xp,
@@ -88,6 +87,6 @@ __all__ = [
     "ChannelParam", "channel_from_capacity", "channel_from_sigma",
     "j_of_mean", "mean_of_ic",
     "LpProblem", "LpSolution", "solve_lp",
-    "PrecodeThreshold", "TransferFunction", "eval_transfer",
+    "PrecodeThreshold", "TransferFunction",
     "load_tabulated", "save_tabulated", "threshold_xp",
 ]

@@ -208,14 +208,6 @@ def ldpc_encode(code: LdpcCode, info_bits) -> np.ndarray:
     return code._enc().encode(np.asarray(info_bits))
 
 
-def dump_adjacency(check_neighbors: np.ndarray, path) -> None:
-    """Debug dump: one line per check listing its variable indices."""
-    with open(path, "w") as fh:
-        fh.write("# check: variable indices\n")
-        for ci, row in enumerate(check_neighbors):
-            fh.write(f"{ci}: " + " ".join(str(int(v)) for v in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Rateless stream
 

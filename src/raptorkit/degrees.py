@@ -112,9 +112,6 @@ class InputEnsemble:
         degs = np.array(sorted(self.edge_coeffs), dtype=np.int64)
         return degs, np.array([self.edge_coeffs[int(d)] for d in degs])
 
-    def max_degree(self) -> int:
-        return max(self.edge_coeffs)
-
 
 def poisson_input(alpha: float, tail_tol: float = 1e-10) -> InputEnsemble:
     """Truncated Poisson input ensemble with mean node degree alpha."""

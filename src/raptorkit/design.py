@@ -76,6 +76,11 @@ class DesignConfig:
             raise ConfigError("degree support must contain positive integers")
         if self.grid_points < 50:
             raise ConfigError("grid_points must be at least 50")
+        if self.x_p >= 1.0:
+            raise ConfigError(f"x_p = {self.x_p!r}: a precode that needs a-priori IC "
+                              "x_p >= 1 never decodes; x_p must lie in [0, 1)")
+        if not self.x_p >= 0.0:
+            raise ConfigError(f"x_p = {self.x_p!r} lies outside [0, 1)")
         if self.delta_policy not in ("fixed", "auto"):
             raise ConfigError("delta_policy must be 'fixed' or 'auto'")
         if self.delta_policy == "auto":
@@ -201,9 +206,7 @@ def optimize_distribution(cfg: DesignConfig, alpha: float) -> DesignResult:
     sol: LpSolution = solve_lp(problem)
     if not sol.optimal:
         return DesignResult(
-            distribution=None, alpha=alpha, rate_lt=None, lp_status="infeasible",
-            constraint_report={"infeasibility": sol.infeasibility},
-        )
+            distribution=None, alpha=alpha, rate_lt=None, lp_status="infeasible")
     degs = problem.meta["degrees"]
     weights = {int(d): float(w) for d, w in zip(degs, sol.x) if w > 1e-12}
     dist = OutputDegreeDistribution.from_edge_weights(weights)

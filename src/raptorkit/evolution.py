@@ -26,7 +26,7 @@ import numpy as np
 
 from .degrees import InputEnsemble, OutputDegreeDistribution
 from .jfunction import ChannelParam, clip_ic, j_of_mean, mean_of_ic
-from .transfer import PrecodeThreshold, TransferFunction
+from .transfer import TransferFunction
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,18 @@ def check_stage_coeffs(channel: ChannelParam, g, degrees) -> np.ndarray:
     return j_of_mean((degs - 1.0)[None, :] * nu[:, None] + channel.f0)
 
 
+def _step(ctx: EvolutionContext, xs) -> tuple[np.ndarray, np.ndarray]:
+    """The one evolution composition: input-stage IC g and F(x) per x value."""
+    g = inner_ic(ctx.channel, ctx.input_ensemble, ctx.transfer, xs)
+    degs, ws = ctx.dist.edge_arrays()
+    return g, clip_ic(1.0 - check_stage_coeffs(ctx.channel, g, degs) @ ws)
+
+
 def evolve_f(ctx: EvolutionContext, x_u: float) -> float:
     """One joint-decoding iteration of the rateless-side IC."""
     if not (0.0 <= x_u <= 1.0):
         raise ValueError("x_u must lie in [0, 1]")
-    g = inner_ic(ctx.channel, ctx.input_ensemble, ctx.transfer, x_u)
-    degs, ws = ctx.dist.edge_arrays()
-    coeff = check_stage_coeffs(ctx.channel, g, degs)
-    return float(clip_ic(1.0 - coeff @ ws)[0])
+    return float(evolve_f_grid(ctx, [x_u])[0])
 
 
 def evolve_f_grid(ctx: EvolutionContext, xs) -> np.ndarray:
@@ -84,9 +88,7 @@ def evolve_f_grid(ctx: EvolutionContext, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise ValueError("x values must lie in [0, 1]")
-    g = inner_ic(ctx.channel, ctx.input_ensemble, ctx.transfer, xs)
-    degs, ws = ctx.dist.edge_arrays()
-    return clip_ic(1.0 - check_stage_coeffs(ctx.channel, g, degs) @ ws)
+    return _step(ctx, xs)[1]
 
 
 @dataclass(frozen=True)
@@ -112,14 +114,13 @@ def run_trajectory(ctx: EvolutionContext, max_iters: int = 5000, tol: float = 1e
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    degs, ws = ctx.dist.edge_arrays()
     xs, vs, es = [], [], []
     x = 0.0
     for _ in range(max_iters):
-        g = float(inner_ic(ctx.channel, ctx.input_ensemble, ctx.transfer, x)[0])
-        x_new = float(clip_ic(1.0 - check_stage_coeffs(ctx.channel, g, degs)[0] @ ws))
+        g, f = _step(ctx, [x])
+        x_new = float(f[0])
         xs.append(x_new)
-        vs.append(g)
+        vs.append(float(g[0]))
         es.append(float(extrinsic_ic(ctx.alpha, x_new)))
         if abs(x_new - x) < tol:
             x = x_new
@@ -136,31 +137,21 @@ def run_trajectory(ctx: EvolutionContext, max_iters: int = 5000, tol: float = 1e
     )
 
 
-def _threshold_value(x_p) -> float:
-    if isinstance(x_p, PrecodeThreshold):
-        return x_p.x_p
-    return float(x_p)
-
-
-def alpha_min(channel: ChannelParam, x_p) -> float:
+def alpha_min(channel: ChannelParam, x_p: float) -> float:
     """Smallest mean input degree that can lift the capacity-limited
     extrinsic IC over the precode threshold: sigma^2 Jinv(x_p) / 2."""
-    xp = _threshold_value(x_p)
-    if not (0.0 <= xp < 1.0):
+    if not (0.0 <= x_p < 1.0):
         raise ValueError("x_p must lie in [0, 1)")
-    return channel.sigma2 * mean_of_ic(xp) / 2.0
+    return channel.sigma2 * mean_of_ic(x_p) / 2.0
 
 
-def delta_max(alpha: float, channel: ChannelParam, x_p) -> float:
+def delta_max(alpha: float, channel: ChannelParam, x_p: float) -> float:
     """Largest convergence margin delta such that J(alpha Jinv(x0 - delta))
     still reaches the precode threshold."""
-    xp = _threshold_value(x_p)
-    if not (0.0 <= xp < 1.0):
-        raise ValueError("x_p must lie in [0, 1)")
-    amin = alpha_min(channel, xp)
+    amin = alpha_min(channel, x_p)  # checks x_p
     if alpha < amin:
         raise ValueError(f"alpha {alpha} below alpha_min {amin}")
-    return channel.x0 - j_of_mean(mean_of_ic(xp) / alpha)
+    return channel.x0 - j_of_mean(mean_of_ic(x_p) / alpha)
 
 
 def stability_floor_omega2(alpha: float, channel: ChannelParam) -> float:

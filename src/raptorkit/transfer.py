@@ -73,13 +73,6 @@ class TransferFunction:
             out = clip_ic(self._interp(arr))
         return float(out) if arr.ndim == 0 else out
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
-
-def eval_transfer(t: TransferFunction, x):
-    return t.evaluate(x)
-
 
 def _analytic_eval(ens: LdpcEnsemble, x: np.ndarray) -> np.ndarray:
     """One precode iteration: check stage on 1-x, then the variable stage

@@ -1,3 +1,5 @@
+import pytest
+
 from raptorkit.cli import main
 from raptorkit.degrees import read_distribution, write_distribution, OutputDegreeDistribution
 from raptorkit.transfer import load_tabulated
@@ -71,6 +73,25 @@ delta = 0.04
 """)
     assert main(["design", "--config", cfg]) == 1
     assert "x_p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x_p, message", [
+    ("-0.5", "x_p = -0.5 lies outside [0, 1)"),
+    ("1.0", "never decodes"),
+], ids=["negative", "one"])
+def test_design_rejects_xp_outside_unit_interval(tmp_path, capsys, x_p, message):
+    cfg = write_cfg(tmp_path / "design.ini", f"""
+[channel]
+sigma = 0.9787
+
+[design]
+alpha_grid = 21
+x_p = {x_p}
+""")
+    out = tmp_path / "d.txt"
+    assert main(["design", "--config", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_deterministic_csv(tmp_path):

@@ -174,17 +174,6 @@ class TestChannel:
             awgn_llr(np.zeros(4, dtype=np.uint8), sigma=0.0)
 
 
-def test_adjacency_dump(tmp_path):
-    from raptorkit.codec import dump_adjacency
-
-    code = build_regular_ldpc(24, 3, 6, seed=4, check_rank=False)
-    path = tmp_path / "graph.txt"
-    dump_adjacency(code.check_neighbors, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 + code.m
-    assert lines[1].startswith("0: ")
-
-
 class TestSeedDiscipline:
     def test_substream_independence(self):
         s1 = substream(7, 0).standard_normal(4)

@@ -16,6 +16,10 @@ from raptorkit.simplex import solve_lp
 from raptorkit.transfer import TransferFunction
 from util import rejection_sample_feasible
 
+# null-transfer design at alpha 16, delta 0.04, margin 1e-4, support 1-100,
+# 200 grid points, as the seed's dense simplex solved it
+DESIGN_PLAIN_RATE_16 = 0.47298317741202944
+
 
 def null_cfg(channel, **kw):
     defaults = dict(transfer=TransferFunction.null(), alpha_grid=(21.0,),
@@ -116,6 +120,16 @@ class TestOptimize:
         found, min_cost = rejection_sample_feasible(cfg, 21.0, problem, opt, rng, 3000)
         assert found > 200  # the sampler must actually exercise the claim
         assert min_cost >= opt_cost - 1e-9
+
+    def test_solver_tolerances_reproduce_golden_rate(self, ref_channel):
+        # At HiGHS's default feasibility tolerances this vertex violates a
+        # row by ~6e-8 and the rate misses by 2.8e-8.
+        cfg = null_cfg(ref_channel, alpha_grid=(16.0,))
+        problem = build_lp(cfg, 16.0)
+        sol = solve_lp(problem)
+        assert np.all(problem.a_ub @ sol.x <= problem.b_ub + 1e-9)
+        res = optimize_distribution(cfg, 16.0)
+        assert res.rate_lt == pytest.approx(DESIGN_PLAIN_RATE_16, abs=1e-9)
 
     def test_zero_weights_dropped_from_solution(self, ref_design):
         _, res = ref_design

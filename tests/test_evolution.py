@@ -24,6 +24,15 @@ EVOLVE_PINNED = 0.4912054621124329
 EXT_21_04 = 0.9998579956350228
 ORACLE_OMEGA = {1: 0.05, 2: 0.35, 3: 0.25, 7: 0.20, 20: 0.15}
 
+# node-view designs: the reference LT design (null transfer, alpha 21) and
+# the best precode-aware design with the (3,60) precode (alpha 7)
+LT_REF_ALPHA21 = {1: 0.09772869351791323, 2: 0.40374696067244426,
+                  4: 0.026443118698326693, 5: 0.33873881476483625,
+                  19: 0.07972545007423942, 100: 0.053616962272240214}
+RAPTOR_JD_BEST = {1: 0.03742945719060151, 2: 0.515441577300767,
+                  4: 0.1744674740287059, 5: 0.17927099966156138,
+                  10: 0.09257845539284305, 100: 0.0008120364255212527}
+
 
 @pytest.fixture()
 def pinned_ctx(ref_channel):
@@ -152,6 +161,21 @@ class TestTrajectory:
         traj = run_trajectory(ctx, max_iters=2000, tol=1e-9)
         assert traj.fixed_point >= ref_channel.x0 - 0.04 - 1e-6
         assert len(traj) <= 2000
+
+    def test_pinned_trajectories(self, ref_channel, transfer_3_60):
+        # fixed points and lengths of the scalar step loop, as predict_threshold
+        # runs it (max_iters 5000, tol 1e-9)
+        cases = [
+            (LT_REF_ALPHA21, 21.0, TransferFunction.null(), None, 0.49765768356572315, 922),
+            (RAPTOR_JD_BEST, 7.0, transfer_3_60, 0.9609375, 0.44406981765049636, 870),
+        ]
+        for weights, alpha, transfer, target, fixed_point, steps in cases:
+            ctx = EvolutionContext(ref_channel, poisson_input(alpha), transfer,
+                                   OutputDegreeDistribution.from_node_weights(weights))
+            traj = run_trajectory(ctx, max_iters=5000, tol=1e-9, target=target)
+            assert traj.fixed_point == fixed_point
+            assert len(traj) == steps
+            assert traj.verdict == "converged"
 
     def test_monotone_nondecreasing_sequence(self, rng):
         ctx = random_context(rng)

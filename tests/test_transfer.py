@@ -9,7 +9,6 @@ from raptorkit.jfunction import j_of_mean, mean_of_ic
 from raptorkit.transfer import (
     TransferFileError,
     TransferFunction,
-    eval_transfer,
     ldpc_de_converges,
     load_tabulated,
     save_tabulated,
@@ -70,7 +69,7 @@ def test_domain_validation(transfer_3_60):
     with pytest.raises(ValueError):
         transfer_3_60.evaluate(-0.01)
     with pytest.raises(ValueError):
-        eval_transfer(transfer_3_60, 1.01)
+        transfer_3_60.evaluate(1.01)
 
 
 class TestThreshold:
