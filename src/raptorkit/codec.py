@@ -9,6 +9,15 @@ Randomness discipline: every consumer draws from a named substream of a
 counter-based generator (Philox) derived from (seed, purpose[, index]) spawn
 keys, so graphs, degree draws, neighbor draws, and noise are reproducible
 independently of each other and across machines.
+
+Neighbor sets are drawn for a whole batch of output symbols at once: each
+symbol takes `degree` independent uniform positions from the neighbor
+substream, and a symbol whose draw repeats a position is redrawn whole, in
+symbol order, as a uniform subset from its own retry substream.  A draw
+without repeats is a uniform subset of its size, so each symbol's neighbor
+set is exactly uniform; and because the neighbor substream yields the same
+values however its draws are split, the symbol sequence does not depend on
+how generation is chunked.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ STREAM_GRAPH = 0
 STREAM_DEGREES = 1
 STREAM_NEIGHBORS = 2
 STREAM_NOISE = 3
+STREAM_NEIGHBOR_RETRY = 4
 
 
 class CodecError(ValueError):
@@ -89,9 +99,7 @@ class _Gf2Encoder:
         mask[self.pivot_cols] = False
         self.free_cols = np.flatnonzero(mask)
         # dependence of each pivot bit on the free bits
-        free_dense = np.zeros((r, self.free_cols.size), dtype=np.uint8)
-        for j, col in enumerate(self.free_cols):
-            free_dense[:, j] = _get_col(h[:r], int(col))
+        free_dense = np.unpackbits(h[:r], axis=1, bitorder="little", count=n)[:, self.free_cols]
         self.p = _pack_rows(free_dense)
 
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
@@ -227,6 +235,7 @@ class LtStream:
     offsets: np.ndarray = field(default=None)
     _deg_rng: np.random.Generator = field(default=None, repr=False, compare=False)
     _nb_rng: np.random.Generator = field(default=None, repr=False, compare=False)
+    _retry_rng: np.random.Generator = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -238,6 +247,7 @@ class LtStream:
         if self._deg_rng is None:
             self._deg_rng = substream(self.seed, STREAM_DEGREES)
             self._nb_rng = substream(self.seed, STREAM_NEIGHBORS)
+            self._retry_rng = substream(self.seed, STREAM_NEIGHBOR_RETRY)
 
     def __len__(self) -> int:
         return len(self.degrees)
@@ -250,25 +260,32 @@ def lt_generate(stream: LtStream, count: int, input_bits=None):
     """Append count output symbols to the stream.
 
     Each symbol draws its degree from the node-view distribution and then a
-    uniform set of that many distinct input positions.  When input_bits is
-    given, returns the bit values (XOR over neighbors) of the new symbols.
+    uniform set of that many distinct input positions (the module notes say
+    how the sets are drawn).  When input_bits is given, returns the bit
+    values (XOR over neighbors) of the new symbols.
     """
     if count < 0:
         raise CodecError("count must be nonnegative")
     if count:
+        k = stream.k
         deg_values, probs = stream.dist.node_arrays()
-        if deg_values.max() > stream.k:
+        if deg_values.max() > k:
             raise CodecError("distribution has degrees above k")
+        if count * k > np.iinfo(np.int64).max:
+            raise CodecError(f"generate fewer than {count} symbols per call at k = {k}")
         degs = stream._deg_rng.choice(deg_values, size=count, p=probs).astype(np.int32)
-        chunks = [stream._nb_rng.choice(stream.k, size=int(d), replace=False).astype(np.int32)
-                  for d in degs]
-        flat = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int32)
+        ends = np.cumsum(degs, dtype=np.int64)
+        flat = stream._nb_rng.integers(0, k, size=int(ends[-1]))
+        # symbols whose independent draws repeat a position, found by sorting
+        # (symbol, position) keys; each is redrawn whole, in symbol order
+        key = np.sort(np.repeat(np.arange(count, dtype=np.int64), degs) * k + flat)
+        repeated = np.unique(key[1:][key[1:] == key[:-1]] // k)
+        for i in repeated:
+            flat[ends[i] - degs[i]:ends[i]] = stream._retry_rng.choice(k, size=int(degs[i]),
+                                                                       replace=False)
         stream.degrees = np.concatenate([stream.degrees, degs])
-        stream.neighbors = np.concatenate([stream.neighbors, flat])
-        stream.offsets = np.concatenate([
-            stream.offsets,
-            stream.offsets[-1] + np.cumsum(degs, dtype=np.int64),
-        ])
+        stream.neighbors = np.concatenate([stream.neighbors, flat.astype(np.int32)])
+        stream.offsets = np.concatenate([stream.offsets, stream.offsets[-1] + ends])
     if input_bits is None:
         return None
     return encode_symbols(stream, input_bits, start=len(stream) - count)
@@ -281,10 +298,9 @@ def encode_symbols(stream: LtStream, input_bits, start: int = 0, stop: int | Non
         raise CodecError(f"input_bits length {bits.size} != k = {stream.k}")
     stop = len(stream) if stop is None else stop
     lo, hi = stream.offsets[start], stream.offsets[stop]
-    seg = np.zeros(stop - start, dtype=np.int64)
-    np.add.at(seg, np.repeat(np.arange(stop - start), stream.degrees[start:stop]),
-              bits[stream.neighbors[lo:hi]])
-    return (seg & 1).astype(np.uint8)
+    seg = np.bincount(np.repeat(np.arange(stop - start), stream.degrees[start:stop]),
+                      weights=bits[stream.neighbors[lo:hi]], minlength=stop - start)
+    return (seg.astype(np.int64) & 1).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -74,16 +74,21 @@ def _check_pass(v2c: np.ndarray, edge_check: np.ndarray, n_checks: int,
                 check_llr: np.ndarray | None, clip: float) -> np.ndarray:
     """Outgoing check messages 2 atanh(prod tanh(m/2)) excluding each edge's
     own contribution; dynamic checks fold their channel LLR into the product."""
-    t = np.tanh(0.5 * np.clip(v2c, -clip, clip))
-    zero = t == 0.0
+    # each step below is the same float operation as in the plain formula,
+    # done in place where it can be, to touch fewer fresh edge-sized arrays
+    t = np.clip(v2c, -clip, clip)
+    t *= 0.5
+    np.tanh(t, out=t)
+    zero = np.flatnonzero(t == 0.0)
     neg = t < 0.0
-    logt = np.zeros_like(t)
-    nz = ~zero
-    logt[nz] = np.log(np.abs(t[nz]))
+    logt = np.abs(t)
+    with np.errstate(divide="ignore"):
+        np.log(logt, out=logt)
+    logt[zero] = 0.0
 
     sum_log = np.bincount(edge_check, weights=logt, minlength=n_checks)
-    n_zero = np.bincount(edge_check, weights=zero, minlength=n_checks)
-    n_neg = np.bincount(edge_check, weights=neg, minlength=n_checks)
+    n_zero = np.bincount(edge_check[zero], minlength=n_checks)
+    n_neg = np.bincount(edge_check, weights=neg, minlength=n_checks).astype(np.int64)
 
     if check_llr is not None:
         tch = np.tanh(0.5 * check_llr)
@@ -97,12 +102,22 @@ def _check_pass(v2c: np.ndarray, edge_check: np.ndarray, n_checks: int,
     # Zero messages contribute logt = 0 and neg = False, so the leave-one-out
     # subtraction below is already exact for them; only the zero COUNT of the
     # other factors decides whether the outgoing product collapses to 0.
-    z_other = n_zero[edge_check] - zero
-    mag = np.exp(sum_log[edge_check] - logt)
-    parity = (n_neg[edge_check] - neg) % 2
-    out = 2.0 * np.arctanh(np.minimum(mag, _ATANH_CAP)) * (1.0 - 2.0 * parity)
-    out[z_other > 0] = 0.0
-    return np.clip(out, -clip, clip)
+    out = sum_log[edge_check]
+    out -= logt
+    np.exp(out, out=out)
+    np.minimum(out, _ATANH_CAP, out=out)
+    np.arctanh(out, out=out)
+    out *= 2.0
+    # sign -1.0 where the other factors hold an odd number of negatives
+    flip = (n_neg & 1).astype(bool)[edge_check] ^ neg
+    sign = np.multiply(flip, -2.0, out=t)
+    sign += 1.0
+    out *= sign
+    if n_zero.any():
+        z_other = n_zero[edge_check]
+        z_other[zero] -= 1
+        out[z_other > 0] = 0.0
+    return np.clip(out, -clip, clip, out=out)
 
 
 def check_update(incoming, channel_llr: float | None = None, clip: float = DEFAULT_CLIP) -> np.ndarray:
@@ -124,40 +139,66 @@ def _hard_bits(totals: np.ndarray) -> np.ndarray:
     return (totals < 0.0).astype(np.uint8)
 
 
+def _parities(edge_check: np.ndarray, edge_var: np.ndarray, n_checks: int,
+              bits: np.ndarray) -> np.ndarray:
+    """Parity of the hard bits at each check of one subgraph."""
+    return np.bincount(edge_check, weights=bits[edge_var], minlength=n_checks).astype(np.int64) & 1
+
+
+def _dyn_ok(g: TannerGraph, bits: np.ndarray) -> bool:
+    return np.array_equal(_parities(g.dyn_edge_check, g.dyn_edge_var, g.n_dyn_checks, bits),
+                          g.dyn_llrs < 0.0)
+
+
+def _stat_ok(g: TannerGraph, bits: np.ndarray) -> bool:
+    return not _parities(g.stat_edge_check, g.stat_edge_var, g.n_stat_checks, bits).any()
+
+
 def _parities_ok(graph: TannerGraph, bits: np.ndarray) -> bool:
     if graph.n_dyn_checks == 0 and graph.n_stat_checks == 0:
         return False  # nothing observed, nothing to satisfy
-    if graph.n_dyn_checks:
-        dyn_par = np.bincount(graph.dyn_edge_check, weights=bits[graph.dyn_edge_var],
-                              minlength=graph.n_dyn_checks).astype(np.int64) % 2
-        received = (graph.dyn_llrs < 0.0).astype(np.int64)
-        if not np.array_equal(dyn_par, received):
-            return False
-    if graph.n_stat_checks:
-        stat_par = np.bincount(graph.stat_edge_check, weights=bits[graph.stat_edge_var],
-                               minlength=graph.n_stat_checks).astype(np.int64) % 2
-        if stat_par.any():
-            return False
-    return True
+    # the smaller static subgraph first; both must hold either way
+    return ((graph.n_stat_checks == 0 or _stat_ok(graph, bits))
+            and (graph.n_dyn_checks == 0 or _dyn_ok(graph, bits)))
 
 
 class _MessageState:
+    """Check-to-variable messages of both subgraphs, with each subgraph's
+    per-variable sum cached when its messages are replaced.
+
+    bincount sums start from +0.0, so they never hold -0.0 and adding the
+    cached sums gives the same bits as accumulating onto a zero array.
+    """
+
     def __init__(self, graph: TannerGraph):
         self.graph = graph
         self.c2v_dyn = np.zeros(graph.dyn_edge_var.size)
         self.c2v_stat = np.zeros(graph.stat_edge_var.size)
+        self.sum_dyn = np.zeros(graph.k)
+        self.sum_stat = np.zeros(graph.k)
 
-    def totals(self, apriori: np.ndarray | None = None,
-               include_dyn: bool = True, include_stat: bool = True) -> np.ndarray:
+    def dyn_pass(self, tot: np.ndarray, clip: float) -> None:
+        """Dynamic check pass from the per-variable totals `tot`."""
         g = self.graph
-        tot = np.zeros(g.k)
-        if include_dyn and g.dyn_edge_var.size:
-            tot += np.bincount(g.dyn_edge_var, weights=self.c2v_dyn, minlength=g.k)
-        if include_stat and g.stat_edge_var.size:
-            tot += np.bincount(g.stat_edge_var, weights=self.c2v_stat, minlength=g.k)
-        if apriori is not None:
-            tot += apriori
-        return tot
+        if g.dyn_edge_var.size == 0:
+            return  # bincount of no edges would give integer sums
+        v2c = tot[g.dyn_edge_var]
+        v2c -= self.c2v_dyn
+        self.c2v_dyn = _check_pass(v2c, g.dyn_edge_check, g.n_dyn_checks, g.dyn_llrs, clip)
+        self.sum_dyn = np.bincount(g.dyn_edge_var, weights=self.c2v_dyn, minlength=g.k)
+
+    def stat_pass(self, tot: np.ndarray, clip: float) -> None:
+        """Static check pass from the per-variable totals `tot`."""
+        g = self.graph
+        v2c = tot[g.stat_edge_var]
+        v2c -= self.c2v_stat
+        self.c2v_stat = _check_pass(v2c, g.stat_edge_check, g.n_stat_checks, None, clip)
+        self.sum_stat = np.bincount(g.stat_edge_var, weights=self.c2v_stat, minlength=g.k)
+
+    def totals(self) -> np.ndarray:
+        if self.graph.n_stat_checks:
+            return self.sum_dyn + self.sum_stat
+        return self.sum_dyn
 
 
 def decode_joint(graph: TannerGraph, max_iters: int = 300, clip: float = DEFAULT_CLIP,
@@ -170,18 +211,14 @@ def decode_joint(graph: TannerGraph, max_iters: int = 300, clip: float = DEFAULT
     st = _MessageState(graph)
     g = graph
     bits = np.zeros(g.k, dtype=np.uint8)
-    totals = np.zeros(g.k)
+    totals = st.totals()
     trace: list[float] = []
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        tot = st.totals()
-        v2c_dyn = tot[g.dyn_edge_var] - st.c2v_dyn
-        st.c2v_dyn = _check_pass(v2c_dyn, g.dyn_edge_check, g.n_dyn_checks, g.dyn_llrs, clip)
+        st.dyn_pass(totals, clip)
         if g.n_stat_checks:
-            tot = st.totals()
-            v2c_stat = tot[g.stat_edge_var] - st.c2v_stat
-            st.c2v_stat = _check_pass(v2c_stat, g.stat_edge_check, g.n_stat_checks, None, clip)
+            st.stat_pass(st.totals(), clip)
         totals = st.totals()
         bits = _hard_bits(totals)
         trace.append(float(np.mean(np.abs(totals))))
@@ -204,29 +241,19 @@ def decode_tandem(graph: TannerGraph, lt_iters: int = 300, precode_iters: int = 
     iters = 0
     for _ in range(lt_iters):
         iters += 1
-        tot = st.totals(include_stat=False)
-        v2c_dyn = tot[g.dyn_edge_var] - st.c2v_dyn
-        st.c2v_dyn = _check_pass(v2c_dyn, g.dyn_edge_check, g.n_dyn_checks, g.dyn_llrs, clip)
-        lt_totals = st.totals(include_stat=False)
-        trace.append(float(np.mean(np.abs(lt_totals))))
-        dyn_par = np.bincount(g.dyn_edge_check, weights=_hard_bits(lt_totals)[g.dyn_edge_var],
-                              minlength=g.n_dyn_checks).astype(np.int64) % 2
-        if np.array_equal(dyn_par, (g.dyn_llrs < 0.0).astype(np.int64)):
+        st.dyn_pass(st.sum_dyn, clip)
+        trace.append(float(np.mean(np.abs(st.sum_dyn))))
+        if _dyn_ok(g, _hard_bits(st.sum_dyn)):
             break
 
-    apriori = st.totals(include_stat=False)
-    totals = apriori.copy()
+    apriori = totals = st.sum_dyn
     if g.n_stat_checks:
         for _ in range(precode_iters):
             iters += 1
-            tot = st.totals(apriori=apriori, include_dyn=False)
-            v2c_stat = tot[g.stat_edge_var] - st.c2v_stat
-            st.c2v_stat = _check_pass(v2c_stat, g.stat_edge_check, g.n_stat_checks, None, clip)
-            totals = st.totals(apriori=apriori, include_dyn=False)
+            st.stat_pass(totals, clip)
+            totals = st.sum_stat + apriori
             trace.append(float(np.mean(np.abs(totals))))
-            stat_par = np.bincount(g.stat_edge_check, weights=_hard_bits(totals)[g.stat_edge_var],
-                                   minlength=g.n_stat_checks).astype(np.int64) % 2
-            if not stat_par.any():
+            if _stat_ok(g, _hard_bits(totals)):
                 break
     bits = _hard_bits(totals)
     return DecodeResult(bits=bits, totals=totals, iterations=iters,

@@ -173,12 +173,14 @@ def build_lp(cfg: DesignConfig, alpha: float) -> LpProblem:
     return problem
 
 
-def _verify(cfg: DesignConfig, alpha: float, dist: OutputDegreeDistribution) -> tuple[bool, dict]:
-    """Direct evolution check of C2-C4 on a grid 4x finer than the LP's."""
+def _verify(cfg: DesignConfig, alpha: float, dist: OutputDegreeDistribution,
+            delta: float) -> tuple[bool, dict]:
+    """Direct evolution check of C2-C4 on a grid 4x finer than the LP's, up
+    to x0 - delta with the delta the LP was built with."""
     ens = poisson_input(alpha, cfg.tail_tol)
     ctx = EvolutionContext(channel=cfg.channel, input_ensemble=ens,
                            transfer=cfg.transfer, dist=dist)
-    xs = np.linspace(0.0, cfg.channel.x0 - cfg.effective_delta(alpha), cfg.grid_points * 4)
+    xs = np.linspace(0.0, cfg.channel.x0 - delta, cfg.grid_points * 4)
     fx = evolve_f_grid(ctx, xs)
     c2_slack = float(np.min(fx - xs))
     f_at_zero = float(fx[0])
@@ -194,7 +196,7 @@ def _verify(cfg: DesignConfig, alpha: float, dist: OutputDegreeDistribution) -> 
         "c4_slack": c4_slack,
         "f_at_zero": f_at_zero,
         "fine_grid_points": xs.size,
-        "delta": cfg.effective_delta(alpha),
+        "delta": delta,
     }
     ok = c2_slack > 0.0 and c3_slack > 0.0 and c4_slack > 0.0
     return ok, report
@@ -210,7 +212,7 @@ def optimize_distribution(cfg: DesignConfig, alpha: float) -> DesignResult:
     degs = problem.meta["degrees"]
     weights = {int(d): float(w) for d, w in zip(degs, sol.x) if w > 1e-12}
     dist = OutputDegreeDistribution.from_edge_weights(weights)
-    verified, report = _verify(cfg, alpha, dist)
+    verified, report = _verify(cfg, alpha, dist, problem.meta["delta"])
     report["lp_cost"] = sol.cost
     return DesignResult(
         distribution=dist,

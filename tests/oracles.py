@@ -249,3 +249,22 @@ def exact_marginals(n_vars, checks):
         den += np.where(bits == 1, w, 0.0)
     with np.errstate(divide="ignore"):
         return np.log(num) - np.log(den)
+
+
+def leave_one_out_products(messages, edge_check, n_checks, check_llrs=None, clip=30.0):
+    """Per edge, the product of tanh(m/2) over the other edges of its check
+    (messages clipped to [-clip, clip]), times tanh(llr/2) of the check's
+    channel value when check_llrs is given.  One check at a time, in plain
+    Python floats."""
+    members = [[] for _ in range(n_checks)]
+    for e, c in enumerate(edge_check):
+        members[int(c)].append(e)
+    out = [0.0] * len(messages)
+    for c, edges in enumerate(members):
+        for e in edges:
+            prod = 1.0 if check_llrs is None else math.tanh(0.5 * float(check_llrs[c]))
+            for o in edges:
+                if o != e:
+                    prod *= math.tanh(0.5 * min(max(float(messages[o]), -clip), clip))
+            out[e] = prod
+    return out

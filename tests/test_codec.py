@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import chi2
 
 from raptorkit.codec import (
+    STREAM_NEIGHBORS,
     CodecError,
     LtStream,
     awgn_llr,
@@ -74,6 +75,33 @@ class TestLdpcEncode:
         word = ldpc_encode(code, info)
         assert np.array_equal(word[enc.free_cols], info)
 
+    @pytest.mark.parametrize("n, d_v, d_c, seed", [(60, 3, 6, 2), (48, 2, 8, 7)])
+    def test_free_part_matches_column_by_column(self, n, d_v, d_c, seed):
+        # reduced row echelon form by plain dense elimination; it is unique,
+        # so the pivot bits' dependence on the free bits is pinned exactly
+        code = build_regular_ldpc(n, d_v, d_c, seed=seed, check_rank=False)
+        h = np.zeros((code.m, n), dtype=np.uint8)
+        for ci, row in enumerate(code.check_neighbors):
+            h[ci, row] = 1
+        pivots, r = [], 0
+        for col in range(n):
+            rows = [i for i in range(r, code.m) if h[i, col]]
+            if not rows:
+                continue
+            h[[r, rows[0]]] = h[[rows[0], r]]
+            for i in range(code.m):
+                if i != r and h[i, col]:
+                    h[i] ^= h[r]
+            pivots.append(col)
+            r += 1
+        enc = code._enc()
+        assert enc.rank == r and enc.pivot_cols.tolist() == pivots
+        expect = np.zeros((r, enc.free_cols.size), dtype=np.uint8)
+        for j, col in enumerate(enc.free_cols):
+            expect[:, j] = h[:r, col]
+        got = np.unpackbits(enc.p, axis=1, bitorder="little", count=enc.free_cols.size)
+        assert np.array_equal(got, expect)
+
     def test_wrong_info_length(self):
         code = build_regular_ldpc(40, 3, 6, seed=5)
         with pytest.raises(CodecError):
@@ -136,6 +164,68 @@ class TestLtStream:
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert counts.sum() == n  # no stray degrees
         assert stat < chi2.ppf(0.99, df=len(degs) - 1)
+
+    def test_subset_uniformity_through_retries(self):
+        # degree 3 of k = 5: only 48% of independent draws are distinct, so
+        # most symbols take the retry path; all 10 subsets stay equally likely
+        from itertools import combinations
+
+        dist = OutputDegreeDistribution.from_node_weights({3: 1.0})
+        stream = LtStream(dist=dist, k=5, seed=44)
+        n = 20000
+        lt_generate(stream, n)
+        index = {c: i for i, c in enumerate(combinations(range(5), 3))}
+        rows = np.sort(stream.neighbors.reshape(n, 3), axis=1)
+        counts = np.bincount([index[tuple(map(int, r))] for r in rows], minlength=10)
+        expected = n / 10.0
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        assert stat < chi2.ppf(0.99, df=9)
+
+    def test_chunked_generation_with_retries(self):
+        # degree 10 of k = 12: nearly every symbol is redrawn from the retry
+        # substream, and chunking must not change which values it yields
+        dist = OutputDegreeDistribution.from_node_weights({2: 0.5, 10: 0.5})
+        a = LtStream(dist=dist, k=12, seed=5)
+        for count in (13, 1, 26):
+            lt_generate(a, count)
+        b = LtStream(dist=dist, k=12, seed=5)
+        lt_generate(b, 40)
+        assert np.array_equal(a.degrees, b.degrees)
+        assert np.array_equal(a.neighbors, b.neighbors)
+        assert np.array_equal(a.offsets, b.offsets)
+        # a symbol keeps its independent draws unless they repeat a position
+        plain = substream(5, STREAM_NEIGHBORS).integers(0, 12, size=int(b.offsets[-1]))
+        retried = 0
+        for i in range(40):
+            nbrs = b.symbol_neighbors(i)
+            first = plain[b.offsets[i]:b.offsets[i + 1]]
+            assert len(set(map(int, nbrs))) == len(nbrs)
+            if len(set(map(int, first))) == len(first):
+                assert np.array_equal(nbrs, first)
+            else:
+                retried += 1
+        assert retried >= 10
+
+    def test_zero_count_and_full_degree(self):
+        dist = OutputDegreeDistribution.from_node_weights({6: 1.0})
+        stream = LtStream(dist=dist, k=6, seed=3)
+        out = lt_generate(stream, 0, np.ones(6, dtype=np.uint8))
+        assert out.size == 0 and len(stream) == 0
+        assert stream.offsets.tolist() == [0]
+        bits = np.array([1, 0, 1, 1, 0, 0], dtype=np.uint8)
+        out = lt_generate(stream, 25, bits)
+        assert len(stream) == 25 and stream.offsets[-1] == 150
+        for i in range(25):
+            assert sorted(map(int, stream.symbol_neighbors(i))) == list(range(6))
+        assert np.all(out == 1)  # every symbol XORs all six bits
+
+    def test_rejects_batch_whose_sort_keys_overflow(self):
+        # (symbol, position) sort keys must fit in int64
+        dist = OutputDegreeDistribution.from_node_weights({1: 1.0})
+        stream = LtStream(dist=dist, k=2**31 - 1, seed=2)
+        with pytest.raises(CodecError, match="fewer"):
+            lt_generate(stream, 2**33)
+        assert len(stream) == 0
 
     def test_rejects_excess_degree(self):
         dist = OutputDegreeDistribution.from_node_weights({10: 1.0})

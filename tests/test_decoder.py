@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from raptorkit.codec import LtStream, awgn_llr, build_regular_ldpc, lt_generate
@@ -89,6 +93,108 @@ class TestCheckUpdate:
                     expect = np.clip(2.0 * np.arctanh(np.clip(prod, -1 + 1e-16, 1 - 1e-16)), -30, 30)
                     assert out[pos + e] == pytest.approx(expect, abs=1e-9)
                 pos += d
+
+
+CLIP = 30.0
+# nonzero messages stay at least 1e-3 away from 0 so that no product of
+# up to 7 factors underflows; exact zeros and the clip are drawn on purpose
+_message = st.one_of(
+    st.floats(1e-3, 8.0), st.floats(-8.0, -1e-3),
+    st.sampled_from([0.0, -0.0, CLIP, -CLIP]))
+_channel = st.one_of(st.floats(1e-3, 8.0), st.floats(-8.0, -1e-3), st.just(0.0))
+
+
+@st.composite
+def _check_batch(draw):
+    degrees = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    edge_check = np.repeat(np.arange(len(degrees)), degrees)
+    edge_check = edge_check[draw(st.permutations(range(edge_check.size)))]
+    messages = np.array(draw(st.lists(_message, min_size=edge_check.size,
+                                      max_size=edge_check.size)))
+    llrs = None
+    if draw(st.booleans()):
+        llrs = np.array(draw(st.lists(_channel, min_size=len(degrees), max_size=len(degrees))))
+    return messages, edge_check, len(degrees), llrs
+
+
+class TestCheckPassProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(batch=_check_batch())
+    def test_matches_leave_one_out_product(self, batch):
+        # compared through tanh(out/2): well conditioned where atanh of a
+        # product near +-1 is not
+        from raptorkit.decoder import _check_pass
+
+        messages, edge_check, n_checks, llrs = batch
+        out = _check_pass(messages, edge_check, n_checks, llrs, CLIP)
+        prod = np.array(oracles.leave_one_out_products(messages, edge_check, n_checks,
+                                                       llrs, CLIP))
+        assert np.all(np.abs(out) <= CLIP)
+        assert np.max(np.abs(np.tanh(0.5 * out) - prod)) <= 1e-12
+        assert np.array_equal(out == 0.0, prod == 0.0)
+        assert np.array_equal(np.sign(out), np.sign(prod))
+
+
+def _ufunc_digest() -> str:
+    x = np.linspace(-40.0, 40.0, 8001)
+    t = np.tanh(0.5 * x)
+    a = np.abs(t)
+    h = hashlib.sha256()
+    for arr in (t, np.log(a[a > 0.0]), np.exp(-np.abs(x)), np.arctanh(np.minimum(a, 1.0 - 1e-16))):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# Digests recorded on x86_64 with AVX-512, numpy 2.4: first of the
+# transcendental ufuncs the check pass uses, then of the two decodes.
+UFUNC_DIGEST = "0304241842a5e5093f8141101cf942f491262a6461361cc090bd03fa4381f9f1"
+JOINT_DIGEST = "9306982bc47f953856c67103f2cbdcc7c9db37b83cde6567418c126c8da9d06c"
+TANDEM_DIGEST = "d5676505ef3207ebc30cabcef8ecf2f51b0df4f537a12714d0045969705b946c"
+
+
+def _pinned_raptor_graph() -> TannerGraph:
+    """Small raptor graph drawn straight from a seeded generator, so that it
+    does not change with the package's own samplers: LT checks of degree 1
+    to 8 with noisy channel values, three exactly-zero and three saturated
+    ones, plus a precode of 16 degree-6 checks."""
+    rng = np.random.default_rng(8128)
+    k, n_sym, m, d_c = 96, 150, 16, 6
+    degs = rng.choice([1, 2, 3, 4, 8], size=n_sym, p=[0.1, 0.45, 0.2, 0.15, 0.1])
+    dyn_var = np.concatenate([rng.choice(k, int(d), replace=False) for d in degs])
+    sigma = 0.98
+    llrs = 2.0 * (1.0 + sigma * rng.standard_normal(n_sym)) / sigma**2
+    llrs[:3] = 0.0
+    llrs[3:6] = [45.0, -45.0, 30.0]
+    stat_var = np.concatenate([rng.choice(k, d_c, replace=False) for _ in range(m)])
+    return TannerGraph(k=k, dyn_edge_var=dyn_var.astype(np.int64),
+                       dyn_edge_check=np.repeat(np.arange(n_sym), degs).astype(np.int64),
+                       dyn_llrs=llrs,
+                       stat_edge_var=stat_var.astype(np.int64),
+                       stat_edge_check=np.repeat(np.arange(m), d_c).astype(np.int64))
+
+
+def _decode_digest(res) -> str:
+    h = hashlib.sha256()
+    h.update(res.totals.tobytes())
+    h.update(np.array([res.iterations, res.converged], dtype=np.int64).tobytes())
+    h.update(np.array(res.llr_trace, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestBitExactDecode:
+    """The decoder's float operations are pinned bit for bit: a rewrite of
+    the check or variable pass that rounds differently changes the digests."""
+
+    def test_decodes_match_recorded_digests(self):
+        if _ufunc_digest() != UFUNC_DIGEST:
+            pytest.skip("numpy's tanh/log/exp/arctanh round differently on this platform "
+                        "than where the digests were recorded")
+        graph = _pinned_raptor_graph()
+        joint = decode_joint(graph, max_iters=40)
+        tandem = decode_tandem(graph, lt_iters=30, precode_iters=20)
+        assert (joint.iterations, tandem.iterations) == (40, 50)
+        assert _decode_digest(joint) == JOINT_DIGEST
+        assert _decode_digest(tandem) == TANDEM_DIGEST
 
 
 class TestVariableUpdate:
