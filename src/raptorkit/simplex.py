@@ -8,6 +8,9 @@ Presolve is off: on the design LPs it makes HiGHS slower.  The feasibility
 tolerances are pinned at 1e-10: at HiGHS's default of 1e-7 it returns
 vertices that violate a row by up to 6e-8, and designed rates then move by
 up to 3e-8.
+
+scipy is imported on the first solve, not with the package: only design
+runs need it, and the import costs about 0.6 s of CPU.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 _HIGHS_OPTIONS = {
     "presolve": False,
@@ -53,6 +55,8 @@ class LpSolution:
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Optimal vertex of the problem, or the infeasible status."""
+    from scipy.optimize import linprog
+
     c = np.asarray(problem.c, dtype=float)
     a_ub = np.asarray(problem.a_ub, dtype=float).reshape(-1, c.size)
     b_ub = np.asarray(problem.b_ub, dtype=float)

@@ -17,10 +17,9 @@ import bisect
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .degrees import LdpcEnsemble
-from .jfunction import clip_ic, j_of_mean, mean_of_ic
+from .jfunction import Pchip, clip_ic, j_of_mean, mean_of_ic
 
 KIND_NULL = "null"
 KIND_ANALYTIC = "analytic_ldpc"
@@ -56,10 +55,22 @@ class TransferFunction:
 
     @classmethod
     def tabulated(cls, xs, ts) -> "TransferFunction":
+        """Monotone cubic interpolation of the knots (xs, ts), which must be
+        finite, with xs strictly increasing from exactly 0 to exactly 1.
+        The curve passes through every knot exactly."""
         xs = np.asarray(xs, dtype=float)
         ts = np.asarray(ts, dtype=float)
-        interp = PchipInterpolator(xs, ts, extrapolate=False)
-        return cls(KIND_TABULATED, interp=interp, knots=(xs, ts))
+        if xs.ndim != 1 or xs.shape != ts.shape:
+            raise ValueError("transfer knots: x and T must be 1-D and of equal length")
+        if xs.size < 2:
+            raise ValueError("transfer knots: need at least two")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ts))):
+            raise ValueError("transfer knots must be finite")
+        if np.any(np.diff(xs) <= 0.0):
+            raise ValueError("transfer knots: x must be strictly increasing")
+        if xs[0] != 0.0 or xs[-1] != 1.0:
+            raise ValueError("transfer knots must span exactly [0, 1]")
+        return cls(KIND_TABULATED, interp=Pchip(xs, ts), knots=(xs, ts))
 
     def evaluate(self, x):
         arr = np.asarray(x, dtype=float)
@@ -248,7 +259,7 @@ def save_tabulated(t: TransferFunction, path, points: int = 201) -> None:
     vals[-1] = 1.0
     knots = [0, dense.size - 1]
     while len(knots) < points:
-        interp = PchipInterpolator(dense[knots], vals[knots])(dense)
+        interp = Pchip(dense[knots], vals[knots])(dense)
         err = np.abs(interp - vals)
         err[knots] = 0.0
         worst = int(np.argmax(err))

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import raptorkit
 from raptorkit.cli import main
 from raptorkit.degrees import read_distribution, write_distribution, OutputDegreeDistribution
 from raptorkit.transfer import load_tabulated
@@ -221,3 +228,55 @@ alpha_grid = 21,x
 """)
     assert main(["design", "--config", cfg, "--out", str(tmp_path / "d.txt")]) == 1
     assert "[design] alpha_grid = '21,x'" in capsys.readouterr().err
+
+
+def test_cold_start_imports_scipy_only_for_the_lp(tmp_path):
+    dist = OutputDegreeDistribution.from_node_weights({1: 0.05, 2: 0.5, 3: 0.25, 10: 0.2})
+    dpath = tmp_path / "d.txt"
+    write_distribution(dist, dpath)
+    analyze = write_cfg(tmp_path / "an.ini", f"""
+[channel]
+capacity = 0.5
+
+[analyze]
+distribution = {dpath}
+alpha = 12
+x_p = 0
+""")
+    transfer = write_cfg(tmp_path / "tr.ini", """
+[transfer]
+kind = ldpc
+lambda = 3:1.0
+rho = 6:1.0
+points = 21
+""")
+    simulate = write_cfg(tmp_path / "sim.ini", f"""
+[channel]
+sigma = 0.9787
+
+[simulate]
+k_info = 200
+distribution = {dpath}
+overheads = 0.2
+trials = 1
+max_iters = 10
+seed = 3
+""")
+    script = textwrap.dedent(f"""
+        import sys
+        import raptorkit
+        from raptorkit import cli
+        from raptorkit.simplex import LpProblem, solve_lp
+        assert cli.main(["analyze", "--config", {analyze!r}]) == 0
+        assert cli.main(["transfer", "--config", {transfer!r}, "--out", {str(tmp_path / "t.txt")!r}]) == 0
+        assert cli.main(["simulate", "--config", {simulate!r}]) == 0
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded[:5]
+        sol = solve_lp(LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [3.0, 1.0]], b_ub=[4.0, 6.0],
+                                 a_eq=[], b_eq=[]))
+        assert sol.optimal and abs(sol.cost + 2.8) < 1e-9, sol
+        assert "scipy.optimize" in sys.modules
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(raptorkit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

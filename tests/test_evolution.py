@@ -166,8 +166,8 @@ class TestTrajectory:
         # fixed points and lengths of the scalar step loop, as predict_threshold
         # runs it (max_iters 5000, tol 1e-9)
         cases = [
-            (LT_REF_ALPHA21, 21.0, TransferFunction.null(), None, 0.49765768356572315, 922),
-            (RAPTOR_JD_BEST, 7.0, transfer_3_60, 0.9609375, 0.44406981765049636, 870),
+            (LT_REF_ALPHA21, 21.0, TransferFunction.null(), None, 0.497657683569114, 922),
+            (RAPTOR_JD_BEST, 7.0, transfer_3_60, 0.9609375, 0.4440698176534267, 870),
         ]
         for weights, alpha, transfer, target, fixed_point, steps in cases:
             ctx = EvolutionContext(ref_channel, poisson_input(alpha), transfer,

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
+from scipy.special import roots_legendre
 
 import oracles
 from raptorkit.jfunction import (
+    Pchip,
+    _gauss_legendre,
+    _get_table,
     channel_from_capacity,
     channel_from_sigma,
     j_of_mean,
@@ -112,3 +119,63 @@ def test_channel_from_capacity_roundtrip():
     ch = channel_from_capacity(0.5)
     assert ch.x0 == pytest.approx(0.5, abs=1e-9)
     assert ch.sigma == pytest.approx(0.9787, abs=1e-3)
+
+
+def test_table_knots_match_quadrature_oracle():
+    # 25 of the table's knots, geometrically spaced over [1e-7, 130]
+    table = _get_table()
+    ms = table.m[np.round(np.linspace(1, table.m.size - 1, 25)).astype(int)]
+    assert ms[0] == 1e-7 and ms[-1] == 130.0
+    ref = np.array([oracles.j_quad(float(m)) for m in ms])
+    assert np.max(np.abs(j_of_mean(ms) - ref)) < 1e-14
+
+
+class TestGaussLegendre:
+    def test_nodes_match_scipy(self):
+        nodes, _ = _gauss_legendre(1200)
+        ref, _ = roots_legendre(1200)
+        assert np.max(np.abs(nodes - ref)) <= 4.5e-16
+
+    def test_weights_sum_to_two(self):
+        _, weights = _gauss_legendre(1200)
+        assert abs(weights.sum() - 2.0) < 1e-14
+
+    def test_integrates_even_powers(self):
+        nodes, weights = _gauss_legendre(1200)
+        for k in range(21):
+            assert abs(np.dot(weights, nodes ** (2 * k)) - 2.0 / (2 * k + 1)) < 1e-14
+
+
+@st.composite
+def pchip_tables(draw):
+    """Strictly increasing knots with monotone, arbitrary or partly flat values."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    x0 = draw(st.floats(min_value=-10.0, max_value=10.0))
+    gaps = draw(st.lists(st.floats(min_value=1e-3, max_value=5.0), min_size=n - 1, max_size=n - 1))
+    x = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
+    kind = draw(st.sampled_from(["monotone", "any", "flat runs"]))
+    if kind == "monotone":
+        steps = draw(st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=n - 1, max_size=n - 1))
+        y = np.concatenate(([0.0], np.cumsum(steps)))
+    elif kind == "any":
+        y = np.array(draw(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=n, max_size=n)))
+    else:
+        steps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=n - 1, max_size=n - 1))
+        y = np.concatenate(([0.0], np.cumsum(steps)))
+    return x, y, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+class TestPchip:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # scipy's, on tiny secants
+    @settings(max_examples=200, deadline=None)
+    @given(table=pchip_tables())
+    def test_equals_scipy_pchip(self, table):
+        # everywhere but the last knot, where Pchip returns y[-1] exactly
+        x, y, seed = table
+        pts = np.random.default_rng(seed).uniform(x[0], x[-1], 200)
+        pts = np.concatenate((pts[pts < x[-1]], x[:-1]))
+        ours, ref = Pchip(x, y), PchipInterpolator(x, y)
+        value, slope = ours.value_and_slope(pts)
+        assert np.array_equal(ours(pts), ref(pts))
+        assert np.array_equal(value, ref(pts))
+        assert np.array_equal(slope, ref.derivative()(pts))

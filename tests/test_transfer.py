@@ -193,6 +193,36 @@ class TestTabulated:
         diff = np.abs(tab.evaluate(off_grid) - transfer_3_60.evaluate(off_grid))
         assert float(diff.max()) < 1e-3
 
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(st.floats(min_value=1e-3, max_value=1.0),
+                                    st.floats(min_value=0.0, max_value=1.0)),
+                          min_size=1, max_size=40))
+    def test_passes_through_every_knot(self, steps):
+        # monotone tables from (0, 0) to (1, 1), T(1) == 1 included
+        dx, dt = (np.array(v) for v in zip(*steps))
+        xs = np.concatenate(([0.0], np.cumsum(dx)))
+        ts = np.concatenate(([0.0], np.cumsum(dt)))
+        xs, ts = xs / xs[-1], ts / max(ts[-1], 1e-300)
+        xs[-1] = ts[-1] = 1.0
+        assert np.all(np.diff(xs) > 0.0)
+        t = TransferFunction.tabulated(xs, ts)
+        assert np.array_equal(t.evaluate(xs), ts)
+        assert t.evaluate(1.0) == 1.0
+
+    @pytest.mark.parametrize("xs, ts", [
+        ([0.0], [0.0]),                            # fewer than two knots
+        ([0.0, 0.5, 1.0], [0.0, 1.0]),             # unequal lengths
+        ([0.0, float("nan"), 1.0], [0.0, 0.5, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, float("inf"), 1.0]),
+        ([0.0, 0.5, 0.5, 1.0], [0.0, 0.2, 0.4, 1.0]),  # x not strictly increasing
+        ([0.0, 0.6, 0.5, 1.0], [0.0, 0.2, 0.4, 1.0]),
+        ([0.1, 0.5, 1.0], [0.0, 0.5, 1.0]),        # does not start at 0
+        ([0.0, 0.5, 0.9], [0.0, 0.5, 1.0]),        # does not end at 1
+    ])
+    def test_rejects_bad_knots(self, xs, ts):
+        with pytest.raises(ValueError):
+            TransferFunction.tabulated(xs, ts)
+
     def test_cannot_save_null(self, tmp_path):
         with pytest.raises(ValueError):
             save_tabulated(TransferFunction.null(), tmp_path / "x.txt")
