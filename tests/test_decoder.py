@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from raptorkit.codec import LtStream, awgn_llr, build_regular_ldpc, lt_generate
+from raptorkit.codec import LtStream, awgn_llr, build_regular_ldpc, ldpc_encode, lt_generate
 from raptorkit.decoder import (
+    STOP_WINDOW,
     TannerGraph,
     check_update,
     decode_joint,
@@ -71,7 +72,7 @@ class TestCheckUpdate:
     def test_batched_pass_matches_literal_product_rule(self, rng):
         # random multi-check batch with zeros injected, against a direct
         # tanh-product evaluation done one check at a time
-        from raptorkit.decoder import _check_pass
+        from raptorkit.decoder import _channel_factor, _check_pass
 
         for _ in range(20):
             n_checks = int(rng.integers(2, 6))
@@ -80,7 +81,7 @@ class TestCheckUpdate:
             v2c = rng.normal(0, 3, size=edge_check.size)
             v2c[rng.random(v2c.size) < 0.3] = 0.0
             llrs = rng.normal(0, 3, size=n_checks)
-            out = _check_pass(v2c, edge_check, n_checks, llrs, clip=30.0)
+            out = _check_pass(v2c, edge_check, n_checks, _channel_factor(llrs), clip=30.0)
             pos = 0
             for ci in range(n_checks):
                 d = int(deg[ci])
@@ -123,10 +124,11 @@ class TestCheckPassProperty:
     def test_matches_leave_one_out_product(self, batch):
         # compared through tanh(out/2): well conditioned where atanh of a
         # product near +-1 is not
-        from raptorkit.decoder import _check_pass
+        from raptorkit.decoder import _channel_factor, _check_pass
 
         messages, edge_check, n_checks, llrs = batch
-        out = _check_pass(messages, edge_check, n_checks, llrs, CLIP)
+        channel = None if llrs is None else _channel_factor(llrs)
+        out = _check_pass(messages, edge_check, n_checks, channel, CLIP)
         prod = np.array(oracles.leave_one_out_products(messages, edge_check, n_checks,
                                                        llrs, CLIP))
         assert np.all(np.abs(out) <= CLIP)
@@ -256,18 +258,19 @@ class TestDecodeJoint:
         assert np.all(res.totals == 0.0)
 
     def test_early_stop_reports_true_syndrome(self, rng):
-        k = 300
-        stream = LtStream(dist=lt_dist(), k=k, seed=12)
-        bits = rng.integers(0, 2, k).astype(np.uint8)
-        out = lt_generate(stream, 900, bits)
-        graph = TannerGraph.from_stream(stream, awgn_llr(out, 0.4, seed=2))
+        # converged means the stop rule fired: a zero static syndrome,
+        # recomputed here from the code, and decisions held for STOP_WINDOW
+        # iterations
+        code = build_regular_ldpc(300, 3, 6, seed=12)
+        word = ldpc_encode(code, rng.integers(0, 2, code.info_length).astype(np.uint8))
+        stream = LtStream(dist=lt_dist(), k=300, seed=12)
+        out = lt_generate(stream, 900, word)
+        graph = TannerGraph.from_stream(stream, awgn_llr(out, 0.4, seed=2), code)
         res = decode_joint(graph, max_iters=60)
-        if res.converged:
-            # recompute both syndrome families independently
-            for ci in range(len(stream)):
-                nbrs = stream.symbol_neighbors(ci)
-                received = 1 if graph.dyn_llrs[ci] < 0 else 0
-                assert int(res.bits[nbrs].sum() % 2) == received
+        assert res.converged and res.iterations < 60
+        assert not code.syndrome(res.bits).any()
+        before = decode_joint(graph, max_iters=res.iterations - STOP_WINDOW, early_stop=False)
+        assert np.array_equal(np.sign(before.totals), np.sign(res.totals))
 
     def test_symmetry_under_codeword_flip(self, rng):
         # decoding LLRs sign-flipped per a codeword's output bits mirrors
@@ -311,8 +314,6 @@ class TestDecodeTandem:
 
     def test_noiseless_raptor_roundtrip(self, rng):
         code = build_regular_ldpc(300, 3, 6, seed=10)
-        from raptorkit.codec import ldpc_encode
-
         info = rng.integers(0, 2, code.info_length).astype(np.uint8)
         word = ldpc_encode(code, info)
         stream = LtStream(dist=lt_dist(), k=300, seed=20)
@@ -334,3 +335,95 @@ class TestDecodeTandem:
         bare = decode_joint(TannerGraph.from_stream(stream, ch), max_iters=50)
         helped = decode_joint(TannerGraph.from_stream(stream, ch, code), max_iters=50)
         assert helped.bits.sum() <= bare.bits.sum()
+
+
+def _small_raptor_graph(precode: bool) -> TannerGraph:
+    code = build_regular_ldpc(240, 3, 6, seed=31) if precode else None
+    stream = LtStream(dist=lt_dist(), k=240, seed=32)
+    out = lt_generate(stream, 640, np.zeros(240, dtype=np.uint8))
+    return TannerGraph.from_stream(stream, awgn_llr(out, 0.7, seed=33), code)
+
+
+def _is_prefix(short, full) -> bool:
+    return len(short) <= len(full) and short == full[:len(short)]
+
+
+class TestEarlyStopTruncates:
+    """Early stop ends a decode; it never changes an iteration it keeps."""
+
+    @pytest.mark.parametrize("precode", [False, True])
+    def test_joint(self, precode):
+        graph = _small_raptor_graph(precode)
+        early = decode_joint(graph, max_iters=120)
+        full = decode_joint(graph, max_iters=120, early_stop=False)
+        assert early.converged and STOP_WINDOW < early.iterations < 120
+        assert _is_prefix(early.llr_trace, full.llr_trace)
+        at_stop = decode_joint(graph, max_iters=early.iterations, early_stop=False)
+        assert np.array_equal(early.totals, at_stop.totals)
+        assert at_stop.converged
+
+    @pytest.mark.parametrize("precode", [False, True])
+    def test_tandem(self, precode):
+        # the rateless phase is a prefix of the full-budget one; the precode
+        # phase, seeded by the totals the rateless phase stopped at, is a
+        # prefix of a full-budget precode phase from the same totals
+        graph = _small_raptor_graph(precode)
+        lt_stop = decode_tandem(graph, lt_iters=120, precode_iters=0).iterations
+        early = decode_tandem(graph, lt_iters=120, precode_iters=60)
+        full = decode_tandem(graph, lt_iters=120, precode_iters=60, early_stop=False)
+        assert early.converged and STOP_WINDOW < lt_stop < 120
+        assert _is_prefix(early.llr_trace[:lt_stop], full.llr_trace)
+        from_same_totals = decode_tandem(graph, lt_iters=lt_stop, precode_iters=60,
+                                         early_stop=False)
+        assert _is_prefix(early.llr_trace, from_same_totals.llr_trace)
+        at_stop = decode_tandem(graph, lt_iters=lt_stop, early_stop=False,
+                                precode_iters=early.iterations - lt_stop)
+        assert np.array_equal(early.totals, at_stop.totals)
+        assert at_stop.converged
+
+
+@st.composite
+def _flip_case(draw):
+    """A small LT graph, with or without a (3,6) precode, random channel
+    LLRs and a codeword to flip them by.  Few checks have degree 1, so most
+    variables start with no degree-1 neighbor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = 2 * draw(st.integers(6, 20))
+    word = rng.integers(0, 2, k).astype(np.uint8)
+    stat_var = stat_check = np.zeros(0, dtype=np.int64)
+    if draw(st.booleans()):
+        code = build_regular_ldpc(k, 3, 6, seed=int(rng.integers(2**31)))
+        word = ldpc_encode(code, rng.integers(0, 2, code.info_length).astype(np.uint8))
+        stat_var = code.check_neighbors.astype(np.int64).ravel()
+        stat_check = np.repeat(np.arange(code.m, dtype=np.int64), code.d_c)
+    n_sym = int(rng.integers(k, 3 * k))
+    p1 = draw(st.sampled_from([0.02, 0.1, 0.3]))
+    degs = rng.choice([1, 2, 3, 4], size=n_sym, p=[p1, 0.6 - p1, 0.25, 0.15])
+    dyn_var = np.concatenate([rng.choice(k, int(d), replace=False) for d in degs])
+    dyn_check = np.repeat(np.arange(n_sym), degs)
+    sigma = draw(st.floats(0.4, 1.2))
+    llrs = 2.0 * (1.0 + sigma * rng.standard_normal(n_sym)) / sigma**2
+    out_bits = np.bincount(dyn_check, weights=word[dyn_var], minlength=n_sym).astype(int) & 1
+
+    def graph(channel):
+        return TannerGraph(k=k, dyn_edge_var=dyn_var.astype(np.int64),
+                           dyn_edge_check=dyn_check.astype(np.int64), dyn_llrs=channel,
+                           stat_edge_var=stat_var, stat_edge_check=stat_check)
+    return graph(llrs), graph(llrs * (1.0 - 2.0 * out_bits)), word
+
+
+class TestCodewordFlipProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_flip_case(), schedule=st.sampled_from(["joint", "tandem"]))
+    def test_flipped_channel_mirrors_the_decode(self, case, schedule):
+        # the stop rule's decision state is sign(totals), not the tie-broken
+        # bits, so a codeword flip changes neither when it fires nor what
+        graph0, graph1, word = case
+        if schedule == "joint":
+            res0, res1 = (decode_joint(g, max_iters=60) for g in (graph0, graph1))
+        else:
+            res0, res1 = (decode_tandem(g, lt_iters=40, precode_iters=30) for g in (graph0, graph1))
+        assert np.array_equal(res1.totals, res0.totals * (1.0 - 2.0 * word))
+        assert (res1.iterations, res1.converged) == (res0.iterations, res0.converged)
+        decided = res0.totals != 0.0
+        assert np.array_equal(res1.bits[decided], (res0.bits ^ word)[decided])
